@@ -15,8 +15,6 @@ states) through both evaluation paths and measures events per second:
   stream into one boolean state matrix (cumulative flip parity) and
   answer every event with a single numpy kernel call.  Timed
   best-of-``VECTOR_REPEATS`` because one pass costs ~a millisecond.
-  Skipped (columns omitted) when numpy is not importable; numpy is
-  imported lazily so the scalar columns never pay for it.
 
 All paths see identical event sequences and their answers are asserted
 equal event-for-event before any timing runs.  The measured speedups
@@ -32,6 +30,8 @@ import json
 import pathlib
 import random
 import time
+
+import numpy as np
 
 from repro.coteries import GridCoterie, MajorityCoterie, TreeCoterie
 
@@ -50,14 +50,6 @@ VECTOR_REPEATS = 5
 #: sizes where the >= 10x vector-vs-bitmask gate applies (same as
 #: scripts/check_perf.py --only vector)
 VECTOR_GATED_SIZES = (25, 49)
-
-
-def _numpy_or_none():
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is an optional extra
-        return None
-    return numpy
 
 
 def _event_stream(n: int, n_events: int, seed: int) -> list[tuple[int, bool]]:
@@ -110,13 +102,13 @@ def _time_bitmask(coterie, nodes, events,
     return best
 
 
-def _flip_index(np, events) -> "object":
+def _flip_index(events) -> "object":
     """The flipped-node index array -- the vector engine's native input."""
     return np.fromiter((i for i, _ in events), dtype=np.int64,
                        count=len(events))
 
 
-def _states_matrix(np, n: int, index) -> "object":
+def _states_matrix(n: int, index) -> "object":
     """The (events, n) boolean up-state matrix after each flip."""
     k = index.shape[0]
     # transposed build: the cumulative sum runs along the contiguous
@@ -128,7 +120,7 @@ def _states_matrix(np, n: int, index) -> "object":
     return ((parity & 1) == 0).T
 
 
-def _packed_states(np, n: int, index) -> "object":
+def _packed_states(n: int, index) -> "object":
     """The (events, W) packed uint64 up-state words after each flip."""
     k = index.shape[0]
     n_w = (n + 63) // 64
@@ -150,17 +142,16 @@ def _time_vector(coterie, nodes, events,
     every event with one kernel call -- packed popcount words when the
     family supports them, the boolean bit matrix otherwise.
     """
-    np = _numpy_or_none()
     evaluator = coterie.compile_batch(nodes)
-    index = _flip_index(np, events)
+    index = _flip_index(events)
     packed = getattr(evaluator, "supports_packed", False)
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
         if packed:
-            evaluator.write_packed(_packed_states(np, len(nodes), index))
+            evaluator.write_packed(_packed_states(len(nodes), index))
         else:
-            evaluator.write_bits(_states_matrix(np, len(nodes), index))
+            evaluator.write_bits(_states_matrix(len(nodes), index))
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -180,16 +171,13 @@ def _check_agreement(coterie, nodes, events) -> None:
         assert evaluator.is_write_quorum() == coterie.is_write_quorum(up)
         assert evaluator.is_read_quorum() == coterie.is_read_quorum(up)
         writes.append(evaluator.is_write_quorum())
-    np = _numpy_or_none()
-    if np is not None:
-        batch = coterie.compile_batch(nodes)
-        index = _flip_index(np, events)
-        got = batch.write_bits(_states_matrix(np, len(nodes), index))
-        assert got.tolist() == writes
-        if getattr(batch, "supports_packed", False):
-            packed = batch.write_packed(_packed_states(np, len(nodes),
-                                                       index))
-            assert packed.tolist() == writes
+    batch = coterie.compile_batch(nodes)
+    index = _flip_index(events)
+    got = batch.write_bits(_states_matrix(len(nodes), index))
+    assert got.tolist() == writes
+    if getattr(batch, "supports_packed", False):
+        packed = batch.write_packed(_packed_states(len(nodes), index))
+        assert packed.tolist() == writes
 
 
 def run_engine_benchmark(sizes=SIZES, rules=RULES, n_events=N_EVENTS,
@@ -207,29 +195,23 @@ def run_engine_benchmark(sizes=SIZES, rules=RULES, n_events=N_EVENTS,
                                  events[:min(2000, n_events)])
             set_s = _time_set(coterie, nodes, events)
             bit_s = _time_bitmask(coterie, nodes, events)
-            row = {
+            vec_s = _time_vector(coterie, nodes, events)
+            rows.append({
                 "n": n,
                 "set_events_per_sec": round(n_events / set_s, 1),
                 "bitmask_events_per_sec": round(n_events / bit_s, 1),
                 "speedup": round(set_s / bit_s, 2),
-            }
-            if _numpy_or_none() is not None:
-                vec_s = _time_vector(coterie, nodes, events)
-                row["vector_events_per_sec"] = round(n_events / vec_s, 1)
-                row["vector_speedup_vs_bitmask"] = round(bit_s / vec_s, 2)
-            rows.append(row)
+                "vector_events_per_sec": round(n_events / vec_s, 1),
+                "vector_speedup_vs_bitmask": round(bit_s / vec_s, 2),
+            })
         results["rules"][rule_name] = rows
     return results
 
 
 def render(results: dict) -> str:
-    has_vector = any(
-        "vector_events_per_sec" in row
-        for rows in results["rules"].values() for row in rows)
     header = (f"{'rule':>8}  {'N':>4}  {'set ev/s':>12}  "
-              f"{'bitmask ev/s':>12}  {'speedup':>8}")
-    if has_vector:
-        header += f"  {'vector ev/s':>13}  {'vs bitmask':>10}"
+              f"{'bitmask ev/s':>12}  {'speedup':>8}  "
+              f"{'vector ev/s':>13}  {'vs bitmask':>10}")
     lines = [
         f"Quorum engine: events/sec, set predicates vs compiled bitmask "
         f"vs numpy batch kernels ({results['n_events']} events/point)",
@@ -237,23 +219,20 @@ def render(results: dict) -> str:
     ]
     for rule_name, rows in results["rules"].items():
         for row in rows:
-            line = (f"{rule_name:>8}  {row['n']:>4}  "
-                    f"{row['set_events_per_sec']:>12,.0f}  "
-                    f"{row['bitmask_events_per_sec']:>12,.0f}  "
-                    f"{row['speedup']:>7.1f}x")
-            if "vector_events_per_sec" in row:
-                line += (f"  {row['vector_events_per_sec']:>13,.0f}  "
+            lines.append(f"{rule_name:>8}  {row['n']:>4}  "
+                         f"{row['set_events_per_sec']:>12,.0f}  "
+                         f"{row['bitmask_events_per_sec']:>12,.0f}  "
+                         f"{row['speedup']:>7.1f}x  "
+                         f"{row['vector_events_per_sec']:>13,.0f}  "
                          f"{row['vector_speedup_vs_bitmask']:>9.1f}x")
-            lines.append(line)
     lines.append("")
     lines.append("shape check: the bitmask engine's per-event cost is "
                  "~flat in N, so its advantage grows with N; >= 10x on "
                  "the grid from N = 25")
-    if has_vector:
-        lines.append("vector check: batch kernels answer the whole stream "
-                     "per call; >= 10x over bitmask on grid and majority "
-                     "at the gated sizes N = 25 and 49, and it never "
-                     "drops below 2x at any size")
+    lines.append("vector check: batch kernels answer the whole stream "
+                 "per call; >= 10x over bitmask on grid and majority "
+                 "at the gated sizes N = 25 and 49, and it never "
+                 "drops below 2x at any size")
     return "\n".join(lines)
 
 
@@ -269,18 +248,17 @@ def test_engine_speedup(benchmark, capsys):
     for rows in results["rules"].values():
         for row in rows:
             assert row["speedup"] > 1.0, row
-    if _numpy_or_none() is not None:
-        for rule_name in ("grid", "majority"):
-            for row in results["rules"][rule_name]:
-                # the acceptance gate (matching scripts/check_perf.py
-                # --only vector); N=100 spans two packed words and its
-                # ~11x sits within scheduler noise of the line, so it
-                # only gets the never-loses tripwire below
-                if row["n"] in VECTOR_GATED_SIZES:
-                    assert row["vector_speedup_vs_bitmask"] >= 10.0, \
-                        (rule_name, row)
-                assert row["vector_speedup_vs_bitmask"] >= 2.0, \
+    for rule_name in ("grid", "majority"):
+        for row in results["rules"][rule_name]:
+            # the acceptance gate (matching scripts/check_perf.py
+            # --only vector); N=100 spans two packed words and its
+            # ~11x sits within scheduler noise of the line, so it
+            # only gets the never-loses tripwire below
+            if row["n"] in VECTOR_GATED_SIZES:
+                assert row["vector_speedup_vs_bitmask"] >= 10.0, \
                     (rule_name, row)
+            assert row["vector_speedup_vs_bitmask"] >= 2.0, \
+                (rule_name, row)
 
 
 def test_bitmask_kernel_speed(benchmark):

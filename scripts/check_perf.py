@@ -11,8 +11,7 @@ Quick regression checks, all small enough for CI:
   batch kernels (packed-word states, grid + majority) and fails if the
   vector engine is less than 10x the bitmask engine's events/sec at
   N >= 25, or if any kernel answer disagrees with the scalar engines.
-  Passes with a notice when numpy is not importable (the vector engine
-  is an optional extra).  Full sweep: ``benchmarks/bench_quorum_engine.py``.
+  Full sweep: ``benchmarks/bench_quorum_engine.py``.
 * **Protocol ops** -- replays one failed-cluster cell of the E23
   protocol benchmark (N=25, 20% nodes down) and fails if the
   liveness-aware quorum planner does not beat the blind picker on both
@@ -94,17 +93,9 @@ def check_engine() -> bool:
 
 
 def check_vector() -> bool:
-    from bench_quorum_engine import (
-        RULES,
-        _numpy_or_none,
-        run_engine_benchmark,
-    )
+    from bench_quorum_engine import RULES, run_engine_benchmark
 
     print(f"vector engine smoke ({VECTOR_EVENTS} events/point):")
-    if _numpy_or_none() is None:
-        print("  skipped: numpy is not importable (the vector engine "
-              "is an optional extra)")
-        return True
     rules = tuple(r for r in RULES if r[0] in ("grid", "majority"))
     # verify=True replays a prefix through the set predicates, the
     # bitmask engine, and both vector kernels (bit matrix and packed

@@ -54,8 +54,14 @@ class TrafficReport:
 def message_traffic(trace: TraceLog, history: History) -> TrafficReport:
     """Aggregate a trace + history into a :class:`TrafficReport`.
 
-    Requires the store to have been built with ``trace_enabled=True``.
+    Requires the store to have been built with ``trace_enabled=True``:
+    byte counts exist only in stored ``send`` records, so a disabled
+    trace raises :class:`ValueError` rather than report 0 bytes.
     """
+    if not trace.enabled:
+        raise ValueError("message_traffic needs an enabled trace: build the "
+                         "store with trace_enabled=True (byte counts exist "
+                         "only in stored send records)")
     propagation = (trace.count("propagation-shipped")
                    + trace.count("propagation-gave-up"))
     reads = sum(1 for op in history.operations

@@ -13,11 +13,11 @@ sample deterministically:
   (``properties.minimal_quorums``; beyond ``max_nodes`` it falls back
   to a salted-draw candidate pool so the search stays total), verifies
   the whole candidate set in one :class:`~repro.coteries.batch`
-  kernel call when numpy is importable, and solves the Naor-Wool load
-  LP (scipy, as in ``analysis/optimal_load``) extended with the
-  read/write mix and an optional latency tilt from the liveness view's
-  RTT scores.  Without scipy a deterministic multiplicative-weights
-  search produces a (slightly sub-optimal) balanced strategy instead.
+  kernel call, and solves the Naor-Wool load LP (scipy, as in
+  ``analysis/optimal_load``) extended with the read/write mix and an
+  optional latency tilt from the liveness view's RTT scores.  Without
+  scipy a deterministic multiplicative-weights search produces a
+  (slightly sub-optimal) balanced strategy instead.
 * The optimizer also prices the **read-one tier** (Kumar & Agarwal's
   read-dominant protocol): serve reads from a single replica while
   every write covers *all* nodes.  The tier wins exactly when the mix
@@ -44,6 +44,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.coteries.base import Coterie, CoterieError
 from repro.coteries.properties import minimal_quorums
 from repro.sim.seeding import derive_rng
@@ -68,14 +70,6 @@ LATENCY_TILT = 0.01
 #: Weights below this are dropped from the support (LP solvers return
 #: tiny numerical residue on inactive variables).
 MIN_WEIGHT = 1e-9
-
-
-def _numpy_or_none():
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is an optional extra
-        return None
-    return numpy
 
 
 def _linprog_or_none():
@@ -287,28 +281,20 @@ def enumerate_candidates(coterie: Coterie, kind: str,
 
 def _verify_support(coterie: Coterie, kind: str, quorums: list) -> None:
     """Every candidate must satisfy its own predicate -- checked in one
-    batch kernel call when numpy is importable, scalar otherwise."""
-    np = _numpy_or_none()
-    if np is not None and quorums:
-        index = {name: i for i, name in enumerate(coterie.nodes)}
-        evaluator = coterie.compile_batch()
-        masks = np.array([sum(1 << index[name] for name in quorum)
-                          for quorum in quorums], dtype=np.uint64)
-        ok = (evaluator.is_write_quorum_batch(masks) if kind == "write"
-              else evaluator.is_read_quorum_batch(masks))
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            raise CoterieError(
-                f"candidate {kind} quorum "
-                f"{list(quorums[int(bad[0])])} fails its own predicate")
+    batch kernel call."""
+    if not quorums:
         return
-    predicate = (coterie.is_write_quorum if kind == "write"
-                 else coterie.is_read_quorum)
-    for quorum in quorums:
-        if not predicate(frozenset(quorum)):
-            raise CoterieError(
-                f"candidate {kind} quorum {list(quorum)} fails its own "
-                f"predicate")
+    index = {name: i for i, name in enumerate(coterie.nodes)}
+    evaluator = coterie.compile_batch()
+    masks = np.array([sum(1 << index[name] for name in quorum)
+                      for quorum in quorums], dtype=np.uint64)
+    ok = (evaluator.is_write_quorum_batch(masks) if kind == "write"
+          else evaluator.is_read_quorum_batch(masks))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise CoterieError(
+            f"candidate {kind} quorum "
+            f"{list(quorums[int(bad[0])])} fails its own predicate")
 
 
 # -- weight search ---------------------------------------------------------
@@ -333,8 +319,7 @@ def _lp_weights(read_quorums: list, write_quorums: list, nodes: tuple,
     when scipy is unavailable or the solver fails.
     """
     linprog = _linprog_or_none()
-    np = _numpy_or_none()
-    if linprog is None or np is None:
+    if linprog is None:
         return None
     fr = read_fraction
     n_r, n_w = len(read_quorums), len(write_quorums)

@@ -12,8 +12,7 @@ up-set mask:
   the set-based reference predicates on all ``2^N`` masks;
 * **vector consistency** -- the numpy
   :class:`~repro.coteries.batch.BatchEvaluator` kernels agree with the
-  same reference tables, evaluated over all masks in one batch call
-  (skipped silently when numpy is unavailable);
+  same reference tables, evaluated over all masks in one batch call;
 * **coterie axioms** -- write/write and read/write intersection, via
   the complement argument (a quorum in M and a quorum in V\\M would be
   disjoint), plus predicate monotonicity under single-node flips and
@@ -40,16 +39,16 @@ up-set mask:
 Everything is pure enumeration -- exponential, which is exactly why the
 CLI caps N (default ``--max-n 9``; 3^N predicate evaluations per
 family for the transition sweep).  The axiom analysis over the mask
-tables runs as numpy array passes when numpy is importable (the
-reference predicates themselves stay scalar -- they are the ground
-truth being checked), with a pure-Python fallback producing identical
-findings.
+tables runs as numpy array passes (the reference predicates themselves
+stay scalar -- they are the ground truth being checked).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.coteries import (
     Coterie,
@@ -179,21 +178,10 @@ def check_family(family: str, rule: CoterieRule, n: int,
     return FamilyResult(family, n, full + 1, n_transitions, findings)
 
 
-def _numpy_or_none():
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is an optional extra
-        return None
-    return numpy
-
-
 def _vector_consistency(family: str, n: int, coterie: Coterie,
                         nodes: Sequence[str], reads: list, writes: list
                         ) -> list:
     """Batch kernels vs the reference tables, all masks in one call."""
-    np = _numpy_or_none()
-    if np is None:
-        return []
     out: list[SemanticFinding] = []
     try:
         evaluator = coterie.compile_batch(nodes)
@@ -224,21 +212,9 @@ def _axiom_findings(family: str, n: int, nodes: Sequence[str],
 
     *nodes* may be a sub-epoch of the family's full node list (the
     Lemma-1 sweep re-runs this per rebuilt epoch coterie); *n* tags the
-    findings with the family's top-level size.  Dispatches to a numpy
-    array analysis when available; both paths yield identical findings
-    in identical order (the pure-Python loops are the specification).
+    findings with the family's top-level size.  Each check reports its
+    first witness in mask order.
     """
-    np = _numpy_or_none()
-    if np is not None:
-        yield from _axiom_findings_np(np, family, n, nodes, reads, writes)
-    else:
-        yield from _axiom_findings_py(family, n, nodes, reads, writes)
-
-
-def _axiom_findings_np(np, family: str, n: int, nodes: Sequence[str],
-                       reads: list, writes: list
-                       ) -> Iterator[SemanticFinding]:
-    """Array version of :func:`_axiom_findings_py` (same findings)."""
     size = len(nodes)
     full = (1 << size) - 1
     r = np.asarray(reads, dtype=bool)
@@ -285,51 +261,6 @@ def _axiom_findings_np(np, family: str, n: int, nodes: Sequence[str],
                   f"adding {nodes[best_bit]} to "
                   f"{sorted(_names_of(nodes, best_mask))} destroys a "
                   f"quorum")
-
-
-def _axiom_findings_py(family: str, n: int, nodes: Sequence[str],
-                       reads: list, writes: list
-                       ) -> Iterator[SemanticFinding]:
-    """The specification: pure-Python loops over the mask tables."""
-    size = len(nodes)
-    full = (1 << size) - 1
-
-    def bad(check: str, message: str) -> SemanticFinding:
-        return SemanticFinding(family, n, check, message)
-
-    if not writes[full]:
-        yield bad("non-empty", "V itself is not a write quorum")
-    if not reads[full]:
-        yield bad("non-empty", "V itself is not a read quorum")
-    for mask in range(full + 1):
-        other = full & ~mask
-        if writes[mask] and writes[other]:
-            yield bad("ww-intersection",
-                      f"disjoint write quorums inside "
-                      f"{sorted(_names_of(nodes, mask))} and "
-                      f"{sorted(_names_of(nodes, other))}")
-            break
-    for mask in range(full + 1):
-        other = full & ~mask
-        if writes[mask] and reads[other]:
-            yield bad("rw-intersection",
-                      f"a read quorum inside "
-                      f"{sorted(_names_of(nodes, other))} misses every "
-                      f"write quorum inside "
-                      f"{sorted(_names_of(nodes, mask))}")
-            break
-    for mask in range(full + 1):
-        for i in range(size):
-            grown = mask | (1 << i)
-            if grown == mask:
-                continue
-            if (writes[mask] and not writes[grown]) or \
-                    (reads[mask] and not reads[grown]):
-                yield bad("monotonicity",
-                          f"adding {nodes[i]} to "
-                          f"{sorted(_names_of(nodes, mask))} destroys a "
-                          f"quorum")
-                return
 
 
 def _check_quorum_function(coterie: Coterie, nodes: Sequence[str],

@@ -157,6 +157,13 @@ class Network:
     (``[]`` drops it, two entries duplicate it, a larger delay reorders it
     past later traffic).  ``None`` (the default) means a faultless
     network.  See :class:`repro.chaos.faults.LinkFaults`.
+
+    Accounting: :attr:`messages_sent` (and ``trace.count("send")``)
+    count every message.  Byte counts exist only on traced runs: a
+    message is sized (:func:`repro.sim.sizing.message_size`) only while
+    the trace is :attr:`~repro.sim.trace.TraceLog.active`, and the size
+    travels in the ``bytes`` field of its ``send`` record.  Sum those
+    records for byte totals; an untraced run has none.
     """
 
     def __init__(self, env: Environment,
@@ -174,7 +181,6 @@ class Network:
         self._endpoints: dict[NodeName, Callable[[Message], None]] = {}
         self._is_up: dict[NodeName, Callable[[], bool]] = {}
         self._msg_ids = itertools.count(1)
-        self.bytes_sent = 0
         self.messages_sent = 0
 
     # -- registration --------------------------------------------------------
@@ -229,9 +235,10 @@ class Network:
         """Send one message; returns its id.  Never blocks; never fails
         synchronously -- loss is only observable through missing replies."""
         msg = Message(src, dst, kind, payload, msg_id=next(self._msg_ids))
-        size = message_size(payload)
-        self.bytes_sent += size
         self.messages_sent += 1
+        # sizing walks the whole payload: pay for it only when the record
+        # is kept or observed (an inactive trace just counts the send)
+        size = message_size(payload) if self.trace.active else None
         self.trace.record(self.env.now, "send", src, dst=dst, msg_kind=kind,
                           msg_id=msg.msg_id, bytes=size)
         delay = self.latency.sample(src, dst)

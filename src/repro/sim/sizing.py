@@ -12,6 +12,12 @@ enough for relative comparisons, which is all the experiments need):
 * containers: 8 bytes plus the sum of their elements (dicts count keys
   and values);
 * dataclasses: their field values.
+
+Sizing walks every payload, so :class:`repro.sim.network.Network` runs it
+only on traced runs -- while the trace stores records or has an
+observer -- and reports each size in the ``bytes`` field of the
+message's ``send`` record.  Byte accounting therefore exists only on
+traced runs; build stores with ``trace_enabled=True`` to get it.
 """
 
 from __future__ import annotations

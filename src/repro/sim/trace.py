@@ -66,11 +66,20 @@ class TraceLog:
         except ValueError:
             pass
 
+    @property
+    def active(self) -> bool:
+        """True iff a record would be stored or shown to an observer.
+
+        Producers check this before computing costly record fields (the
+        network's message sizes) that nobody would otherwise see.
+        """
+        return self.enabled or bool(self._observers)
+
     def record(self, time: float, kind: str, node: Optional[str] = None,
                **detail: Any) -> None:
         """Append one record (cheap no-op when tracing is disabled)."""
         self._counters[kind] += 1
-        if not self.enabled and not self._observers:
+        if not self.active:
             return
         rec = TraceRecord(time, kind, node, detail)
         if self.enabled:

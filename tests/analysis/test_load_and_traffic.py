@@ -90,3 +90,11 @@ class TestMessageTraffic:
         store = self.make_run(n=4, seed=3, duration=10.0)
         report = message_traffic(store.trace, store.history)
         assert "msgs" in report.summary()
+
+    def test_untraced_store_rejected(self):
+        # counts alone would report messages with 0 bytes; refuse instead
+        store = ReplicatedStore.create(4, seed=3)
+        store.write({"k": 1}, via="n00")
+        assert store.network.messages_sent > 0
+        with pytest.raises(ValueError, match="trace_enabled=True"):
+            message_traffic(store.trace, store.history)

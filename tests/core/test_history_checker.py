@@ -1,6 +1,9 @@
 """The consistency checker itself: it must accept legal histories and
 reject each class of violation with a useful message."""
 
+import math
+import random
+
 import pytest
 
 from repro.core.history import (
@@ -147,3 +150,202 @@ class TestEpochUniqueness:
         servers = [_FakeServer("z", ("a", "b"), 1)]
         with pytest.raises(ConsistencyError, match="not a member"):
             check_epoch_uniqueness(servers)
+
+
+def reference_check(history, initial_value=None):
+    """The checker's earlier O(reads x writes) form, kept as an oracle: it
+    replays every write and scans them twice for each read."""
+    writes = history.committed_writes()
+    versions = [w.version for w in writes]
+    if len(set(versions)) != len(versions):
+        dupes = sorted(v for v in set(versions) if versions.count(v) > 1)
+        raise ConsistencyError(f"duplicate write versions: {dupes}")
+    if any(v is None or v < 1 for v in versions):
+        raise ConsistencyError(f"bad write versions: {versions}")
+    for earlier, later in zip(writes, writes[1:]):
+        if later.end is not None and earlier.start is not None:
+            if later.end < earlier.start:
+                raise ConsistencyError(
+                    f"write {later.op_id} (v{later.version}) finished at "
+                    f"{later.end} before write {earlier.op_id} "
+                    f"(v{earlier.version}) started at {earlier.start}")
+    for read in history.successful_reads():
+        version = read.version
+        if version is None or version < 0:
+            raise ConsistencyError(f"read {read.op_id} has no version")
+        expected = replay(writes, version, initial_value)
+        if read.value != expected:
+            raise ConsistencyError(
+                f"read {read.op_id} at v{version} returned {read.value!r}, "
+                f"replay gives {expected!r}")
+        must_include = max((w.version for w in writes
+                            if w.end is not None and w.end <= read.start),
+                           default=0)
+        if version < must_include:
+            raise ConsistencyError(
+                f"stale read {read.op_id}: returned v{version} but "
+                f"v{must_include} committed before it started")
+        may_include = max((w.version for w in writes
+                           if w.start <= (read.end or float("inf"))),
+                          default=0)
+        if version > may_include:
+            raise ConsistencyError(
+                f"read {read.op_id} returned v{version} from the future "
+                f"(latest overlapping write is v{may_include})")
+    for read in history.degraded_reads():
+        version = read.version
+        if version is None or version < 0:
+            raise ConsistencyError(f"degraded read {read.op_id} has no version")
+        expected = replay(writes, version, initial_value)
+        if read.value != expected:
+            raise ConsistencyError(
+                f"degraded read {read.op_id} at v{version} returned "
+                f"{read.value!r}, replay gives {expected!r}")
+        may_include = max((w.version for w in writes
+                           if w.start <= (read.end or float("inf"))),
+                          default=0)
+        if version > may_include:
+            raise ConsistencyError(
+                f"degraded read {read.op_id} returned v{version} from the "
+                f"future (latest overlapping write is v{may_include})")
+    return {
+        "writes": len(writes),
+        "reads": len(history.successful_reads()),
+        "degraded": len(history.degraded_reads()),
+        "failed": len(history.failed_operations()),
+        "max_version": versions[-1] if versions else 0,
+    }
+
+
+#: op boundaries fall on this grid, so histories are full of timestamp ties
+TICK = 0.5
+
+
+def random_valid_history(rng, n_ops, initial_value):
+    """A linearizable history: every op takes effect at one instant inside
+    [start, end]; writes get versions in that order, reads see the prefix.
+    Boundaries are rounded outwards to the ``TICK`` grid, which keeps the
+    history legal while making ties common.  Includes failed ops,
+    unacknowledged committed writes (``end`` None), degraded reads at any
+    non-future version, and times at 0."""
+    points = sorted(rng.uniform(0, 50) for _ in range(n_ops))
+    history = History()
+    versions = 0
+    for point in points:
+        kind = rng.choice(("write", "write", "read", "read", "read-degraded",
+                           "failed"))
+        start = TICK * math.floor(max(0.0, point - rng.uniform(0, 1.5)) / TICK)
+        end = TICK * math.ceil((point + rng.uniform(0, 1.5)) / TICK)
+        if rng.random() < 0.05:
+            start = 0.0
+        if kind == "write":
+            versions += 1
+            updates = {f"f{rng.randrange(6)}": rng.randrange(100)
+                       for _ in range(rng.randint(1, 3))}
+            record = history.start("write", f"w{len(history)}", "c", start,
+                                   updates=updates)
+            if rng.random() < 0.1:
+                record.ok, record.version = True, versions
+            else:
+                history.finish(record, end,
+                               WriteResult(True, version=versions))
+        elif kind == "failed":
+            record = history.start("write", f"x{len(history)}", "c", start,
+                                   updates={"f0": -1})
+            history.finish(record, end, WriteResult(False, case="no-quorum"))
+        else:
+            version = (versions if kind == "read"
+                       else rng.randint(0, versions))
+            record = history.start(kind, f"r{len(history)}", "c", start)
+            history.finish(record, end, ReadResult(
+                True, value=replay(history.committed_writes(), version,
+                                   initial_value),
+                version=version))
+    return history
+
+
+def shifted(rng, history, time):
+    """A new timestamp for a mutation: another op's boundary (a tie), 0,
+    or *time* moved by a few ticks."""
+    boundaries = [t for op in history.operations for t in (op.start, op.end)
+                  if t is not None]
+    roll = rng.random()
+    if roll < 0.3:
+        return rng.choice(boundaries)
+    if roll < 0.4:
+        return 0.0
+    return max(0.0, time + TICK * rng.randint(-20, 20))
+
+
+def mutate(rng, history, initial_value):
+    """Change one read's value, version or timestamp, or one write's
+    timestamp, in place."""
+    reads = [op for op in history.operations
+             if op.kind in ("read", "read-degraded") and op.ok]
+    writes = [op for op in history.operations if op.kind == "write" and op.ok]
+    choice = rng.choice(("value", "version", "read-time", "write-time"))
+    if choice == "write-time" and writes:
+        write = rng.choice(writes)
+        if write.end is not None and rng.random() < 0.5:
+            write.end = shifted(rng, history, write.end)
+        else:
+            write.start = shifted(rng, history, write.start)
+        return
+    if not reads:
+        return
+    read = rng.choice(reads)
+    if choice == "value":
+        value = dict(read.value)
+        value[f"f{rng.randrange(6)}"] = rng.randrange(100)
+        read.value = value
+    elif choice == "version":
+        read.version = max(0, read.version + rng.choice((-2, -1, 1, 2)))
+        if rng.random() < 0.5:  # keep the value consistent: a freshness bug
+            read.value = replay(history.committed_writes(), read.version,
+                                initial_value)
+    elif rng.random() < 0.5:
+        read.start = shifted(rng, history, read.start)
+    else:
+        read.end = shifted(rng, history, read.end)
+
+
+def outcome(check, history, initial_value):
+    try:
+        return check(history, initial_value)
+    except ConsistencyError as exc:
+        return f"ConsistencyError: {exc}"
+
+
+class TestAgainstReference:
+    """The linear checker reports what the quadratic one did."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_valid_histories_accepted_alike(self, seed):
+        rng = random.Random(seed)
+        initial = {"f0": 0} if seed % 2 else None
+        history = random_valid_history(rng, rng.randint(0, 80), initial)
+        assert outcome(reference_check, history, initial) == \
+            outcome(check_one_copy_serializability, history, initial)
+        check_one_copy_serializability(history, initial)
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_mutated_histories_give_the_same_witness(self, seed):
+        rng = random.Random(10_000 + seed)
+        initial = {"f0": 0} if seed % 2 else None
+        history = random_valid_history(rng, rng.randint(1, 60), initial)
+        mutate(rng, history, initial)
+        assert outcome(check_one_copy_serializability, history, initial) == \
+            outcome(reference_check, history, initial)
+
+    def test_mutations_are_caught(self):
+        # the cross-check means something only if mutations do fail
+        caught = 0
+        for seed in range(200):
+            rng = random.Random(10_000 + seed)
+            initial = {"f0": 0} if seed % 2 else None
+            history = random_valid_history(rng, rng.randint(1, 60), initial)
+            mutate(rng, history, initial)
+            caught += isinstance(
+                outcome(check_one_copy_serializability, history, initial),
+                str)
+        assert caught > 60
