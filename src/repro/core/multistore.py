@@ -240,13 +240,8 @@ class MultiReplicaServer(TwoPhaseParticipant):
         def handle():
             if op_id in self._op_locks:
                 return self._response(item)
-            ok = yield from self._acquire(item, op_id)
-            if not ok:
-                return BUSY
-            self._op_locks[op_id] = (item,)
-            self.node.spawn(self._lease_watchdog(op_id),
-                            name=f"lease-{op_id}")
-            return self._response(item)
+            custodied = yield from self._custody_poll_lock(item, op_id)
+            return self._response(item) if custodied else BUSY
 
         return handle()
 
@@ -276,11 +271,6 @@ class MultiReplicaServer(TwoPhaseParticipant):
                       for item, state in
                       self.node.stable["mi_items"].items()},
         }
-
-    def _on_op_release(self, src: str, op_id: str) -> str:
-        if op_id in self._op_locks and op_id not in self._prepared_ops:
-            self._release_op(op_id)
-        return "ok"
 
     # -- 2PC command semantics (the participant protocol is the mixin's) ------
     def _snapshot_matches(self, expected: Optional[dict]) -> bool:

@@ -100,17 +100,58 @@ class TwoPhaseParticipant:
 
     def _acquire(self, resource, owner: str, shared: bool = False,
                  wait: Optional[float] = None):
-        lock = self._lock(resource)
-        grant = lock.acquire(owner, shared=shared)
-        timer = self.env.timeout(self.config.lock_wait if wait is None
-                                 else wait)
-        yield self.env.any_of([grant, timer])
-        if grant.triggered:
+        ok = yield from self._lock(resource).acquire_within(
+            owner, self.config.lock_wait if wait is None else wait,
+            shared=shared)
+        if ok:
             # repro: allow[lock-discipline] True transfers custody to the caller by contract
             return True
-        lock.cancel(owner)
         self._after_release(resource)
         return False
+
+    def _custody_poll_lock(self, resource, op_id: str):
+        """Generator: lock *resource* for a write poll of *op_id* and hand
+        the lock to the op-lock table, lease watchdog armed; returns True
+        then.  False means answer BUSY: the lock was not granted within
+        ``lock_wait``, a poll of the same operation is already queued, or
+        the operation's release overtook this poll while it was queued
+        (:meth:`_on_op_release` leaves an ``op_released_early``
+        tombstone, and a grant that already fired is given back)."""
+        volatile = self.node.volatile
+        # op_id -> resource, so an overtaking release can withdraw it
+        acquiring = volatile.setdefault("op_acquiring", {})
+        if op_id in acquiring:
+            return False
+        acquiring[op_id] = resource
+        try:
+            ok = yield from self._acquire(resource, op_id)
+        finally:
+            volatile.setdefault("op_acquiring", {}).pop(op_id, None)
+        released = volatile.setdefault("op_released_early", set())
+        if op_id in released:
+            released.discard(op_id)
+            if ok:
+                self._lock(resource).release(op_id)
+                self._after_release(resource)
+            return False
+        if not ok:
+            return False
+        self._op_locks[op_id] = (resource,)
+        self.node.spawn(self._lease_watchdog(op_id), name=f"lease-{op_id}")
+        return True
+
+    def _on_op_release(self, src: str, op_id: str) -> str:
+        acquiring = self.node.volatile.get("op_acquiring", {})
+        if op_id in self._op_locks and op_id not in self._prepared_ops:
+            self._release_op(op_id)
+        elif op_id in acquiring:
+            # the release raced ahead of a write poll still queued on the
+            # lock: withdraw the queued request and leave a tombstone so
+            # an already-fired grant is relinquished, not custodied
+            self.node.volatile.setdefault("op_released_early",
+                                          set()).add(op_id)
+            self._lock(acquiring[op_id]).cancel(op_id)
+        return "ok"
 
     def _release_op(self, op_id: str) -> None:
         resources = self._op_locks.pop(op_id, ())

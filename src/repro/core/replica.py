@@ -192,15 +192,11 @@ class ReplicaServer:
     def _acquire(self, owner: str, shared: bool = False,
                  wait: Optional[float] = None):
         """Generator: try to acquire the replica lock; returns bool."""
-        grant = self.lock.acquire(owner, shared=shared)
-        timer = self.env.timeout(wait if wait is not None
-                                 else self.config.lock_wait)
-        yield self.env.any_of([grant, timer])
-        if grant.triggered:
-            # repro: allow[lock-discipline] True transfers custody to the caller by contract
-            return True
-        self.lock.cancel(owner)
-        return False
+        ok = yield from self.lock.acquire_within(
+            owner, self.config.lock_wait if wait is None else wait,
+            shared=shared)
+        # repro: allow[lock-discipline] True transfers custody to the caller by contract
+        return ok
 
     def _release_op(self, op_id: str) -> None:
         self.lock.release(op_id)

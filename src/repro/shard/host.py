@@ -201,13 +201,9 @@ class ShardHost(TwoPhaseParticipant):
         def handle():
             if op_id in self._op_locks:
                 return self._response(shard, key)
-            ok = yield from self._acquire((shard, key), op_id)
-            if not ok:
-                return BUSY
-            self._op_locks[op_id] = ((shard, key),)
-            self.node.spawn(self._lease_watchdog(op_id),
-                            name=f"lease-{op_id}")
-            return self._response(shard, key)
+            custodied = yield from self._custody_poll_lock((shard, key),
+                                                           op_id)
+            return self._response(shard, key) if custodied else BUSY
 
         return handle()
 
@@ -277,11 +273,6 @@ class ShardHost(TwoPhaseParticipant):
                 name=f"sh-reseed-{shard}/{key}")
         if count:
             self.metrics.counter("propagation_reseeded").inc(count)
-        return "ok"
-
-    def _on_op_release(self, src: str, op_id: str) -> str:
-        if op_id in self._op_locks and op_id not in self._prepared_ops:
-            self._release_op(op_id)
         return "ok"
 
     # -- 2PC command semantics (the participant protocol is the mixin's) ------

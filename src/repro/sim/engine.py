@@ -51,7 +51,15 @@ class Event:
     An event starts *pending*, and is later either *succeeded* with a value
     or *failed* with an exception.  Processes waiting on the event are
     resumed with the value (or have the exception thrown into them).
+
+    An event triggered while nobody waits on it is not queued: it only
+    reserves its ``(time, sequence)`` slot (:attr:`_slot`), and a waiter
+    that arrives before the clock reaches that slot queues it there.
     """
+
+    #: ``(time, sequence)`` reserved by a trigger that had no waiter;
+    #: None once queued (or for events never triggered that way).
+    _slot: Optional[tuple[float, int]] = None
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -103,12 +111,26 @@ class Event:
 
     # -- plumbing -----------------------------------------------------------
     def _add_callback(self, callback: Callable[["Event"], None]) -> None:
-        if self.callbacks is None:
+        callbacks = self.callbacks
+        slot = self._slot
+        if slot is not None:
+            self._slot = None
+            env = self.env
+            if slot[0] == env.now and slot[1] > env._last_seq:
+                # the first waiter before the reserved slot comes due:
+                # queue the event exactly where its trigger would have
+                heapq.heappush(env._queue, (slot[0], slot[1], self))
+            else:
+                # the slot passed unobserved: the event counts as
+                # dispatched then (callbacks appended straight to the
+                # list in the meantime never run)
+                self.callbacks = callbacks = None
+        if callbacks is None:
             # Already fired and dispatched: run at the next tick so that the
             # caller still observes asynchronous semantics.
             self.env._schedule_call(lambda: callback(self))
         else:
-            self.callbacks.append(callback)
+            callbacks.append(callback)
 
     def _dispatch(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
@@ -242,22 +264,25 @@ class Process(Event):
                 target.callbacks.remove(self._resume_with)
             except ValueError:
                 pass
-        self._step(lambda: self._generator.throw(interrupt))
+        self._step(None, interrupt)
 
     def _resume_with(self, event: Optional[Event] = None) -> None:
-        if self.triggered:
+        if self._ok is not None:
             return
         if event is None:
-            self._step(lambda: self._generator.send(None))
-        elif event.ok:
-            self._step(lambda: self._generator.send(event._value))
+            self._step(None, None)
+        elif event._ok:
+            self._step(event._value, None)
         else:
-            exception = event._exception
-            self._step(lambda: self._generator.throw(exception))
+            self._step(None, event._exception)
 
-    def _step(self, advance: Callable[[], Any]) -> None:
+    def _step(self, value: Any, exception: Optional[BaseException]) -> None:
+        """Advance the generator: send *value*, or throw *exception*."""
         try:
-            target = advance()
+            if exception is None:
+                target = self._generator.send(value)
+            else:
+                target = self._generator.throw(exception)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -299,6 +324,9 @@ class Lock:
         lock.release(owner)
 
     ``acquire`` returns an event that succeeds when the lock is granted.
+    ``acquire_within`` is the bounded wait protocol handlers use::
+
+        ok = yield from lock.acquire_within(owner, wait)
     """
 
     def __init__(self, env: "Environment", name: str = "lock"):
@@ -341,6 +369,25 @@ class Lock:
         self._waiters.append((owner, mode, event))
         self._grant()
         return event
+
+    def acquire_within(self, owner: Any, wait: float, shared: bool = False):
+        """Generator: request the lock, waiting at most *wait* for it.
+
+        Returns True once granted (the caller then holds the lock) or
+        False after withdrawing the request when *wait* elapses first.
+        A grant made on the spot is yielded as is: the caller resumes in
+        the slot an ``any_of(grant, timer)`` would have fired in, without
+        building the timer or the condition.
+        """
+        grant = self.acquire(owner, shared=shared)
+        if grant.triggered:
+            yield grant
+            return True
+        yield self.env.any_of([grant, self.env.timeout(wait)])
+        if grant.triggered:
+            return True
+        self.cancel(owner)
+        return False
 
     def release(self, owner: Any) -> None:
         """Release the lock.  Releasing a lock not held is a no-op.
@@ -391,9 +438,14 @@ class Environment:
         self._queue: list[tuple[float, int, Any]] = []
         self._sequence = 0
         self._crashed: list[tuple[Process, BaseException]] = []
-        #: Total queue entries processed.  Deterministic for a given
+        #: Sequence number of the queue entry dispatched last (raised to
+        #: the latest reservation when :meth:`run` returns): reserved
+        #: slots at ``now`` up to it have passed.
+        self._last_seq = 0
+        #: Total queue entries dispatched.  Deterministic for a given
         #: seed and program, so benchmarks can report simulation cost
-        #: per operation without wall-clock noise.
+        #: per operation without wall-clock noise.  An event nobody
+        #: waits on is never queued, so it is not counted.
         self.events_processed = 0
 
     # -- public factory helpers ---------------------------------------------
@@ -435,9 +487,13 @@ class Environment:
         self._schedule_call(callback, delay=delay)
 
     # -- scheduling ---------------------------------------------------------
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
+    def _schedule_event(self, event: Event) -> None:
         self._sequence += 1
-        heapq.heappush(self._queue, (self.now + delay, self._sequence, event))
+        if event.callbacks:
+            heapq.heappush(self._queue, (self.now, self._sequence, event))
+        else:
+            # nobody waits yet: reserve the slot (see Event._add_callback)
+            event._slot = (self.now, self._sequence)
 
     def _schedule_call(self, callback: Callable[[], None], delay: float = 0.0) -> None:
         self._sequence += 1
@@ -449,10 +505,11 @@ class Environment:
     # -- execution ----------------------------------------------------------
     def step(self) -> None:
         """Process a single queue entry."""
-        time, _seq, item = heapq.heappop(self._queue)
+        time, seq, item = heapq.heappop(self._queue)
         if time < self.now:
             raise SimulationError("time went backwards")
         self.now = time
+        self._last_seq = seq
         self.events_processed += 1
         if isinstance(item, Event):
             item._dispatch()
@@ -467,15 +524,19 @@ class Environment:
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or the clock passes *until*.
 
-        Returns the simulation time at which execution stopped.
+        Returns the simulation time at which execution stopped.  Every
+        slot reserved so far counts as passed afterwards, as if each
+        waiter-less event had been queued and dispatched.
         """
         while self._queue:
             if until is not None and self._queue[0][0] > until:
                 self.now = until
-                return self.now
+                break
             self.step()
-        if until is not None and until > self.now:
-            self.now = until
+        else:
+            if until is not None and until > self.now:
+                self.now = until
+        self._last_seq = self._sequence
         return self.now
 
     @property

@@ -30,12 +30,14 @@ from repro.sim.trace import TraceLog
 NodeName = str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
     """A network message.
 
     ``kind`` distinguishes requests from responses at the RPC layer;
-    ``payload`` is the protocol-level content.
+    ``payload`` is the protocol-level content.  Nothing mutates a sent
+    message; the class is not frozen only because frozen construction
+    costs about three times as much on the per-message path.
     """
 
     src: NodeName
@@ -159,11 +161,13 @@ class Network:
     network.  See :class:`repro.chaos.faults.LinkFaults`.
 
     Accounting: :attr:`messages_sent` (and ``trace.count("send")``)
-    count every message.  Byte counts exist only on traced runs: a
-    message is sized (:func:`repro.sim.sizing.message_size`) only while
-    the trace is :attr:`~repro.sim.trace.TraceLog.active`, and the size
-    travels in the ``bytes`` field of its ``send`` record.  Sum those
-    records for byte totals; an untraced run has none.
+    count every message; an inactive trace only tallies the ``send`` and
+    ``deliver`` records, without building their detail.  Byte counts
+    exist only on traced runs: a message is sized
+    (:func:`repro.sim.sizing.message_size`) only while the trace is
+    :attr:`~repro.sim.trace.TraceLog.active`, and the size travels in
+    the ``bytes`` field of its ``send`` record.  Sum those records for
+    byte totals; an untraced run has none.
     """
 
     def __init__(self, env: Environment,
@@ -234,13 +238,16 @@ class Network:
     def send(self, src: NodeName, dst: NodeName, kind: str, payload: Any) -> int:
         """Send one message; returns its id.  Never blocks; never fails
         synchronously -- loss is only observable through missing replies."""
-        msg = Message(src, dst, kind, payload, msg_id=next(self._msg_ids))
+        msg = Message(src, dst, kind, payload, next(self._msg_ids))
         self.messages_sent += 1
-        # sizing walks the whole payload: pay for it only when the record
-        # is kept or observed (an inactive trace just counts the send)
-        size = message_size(payload) if self.trace.active else None
-        self.trace.record(self.env.now, "send", src, dst=dst, msg_kind=kind,
-                          msg_id=msg.msg_id, bytes=size)
+        trace = self.trace
+        if trace.active:
+            # sizing walks the whole payload: pay for it, and for the
+            # record's detail, only when the record is kept or observed
+            trace.record(self.env.now, "send", src, dst=dst, msg_kind=kind,
+                         msg_id=msg.msg_id, bytes=message_size(payload))
+        else:
+            trace.tally("send")
         delay = self.latency.sample(src, dst)
         if self.faults is None:
             delays = (delay,)
@@ -256,20 +263,27 @@ class Network:
 
     def _deliver(self, msg: Message) -> None:
         deliver = self._endpoints.get(msg.dst)
-        if deliver is None or not self.node_is_up(msg.dst):
+        # an endpoint's liveness predicate is registered with it
+        if deliver is None or not self._is_up[msg.dst]():
             self._drop(msg, "dst-down")
             return
-        if self.drop_from_crashed and not self.node_is_up(msg.src):
-            self._drop(msg, "src-down")
-            return
+        if self.drop_from_crashed:
+            src_up = self._is_up.get(msg.src)
+            if src_up is None or not src_up():
+                self._drop(msg, "src-down")
+                return
         if not self.partitions.reachable(msg.src, msg.dst):
             self._drop(msg, "partitioned")
             return
         if (msg.src, msg.dst) in self._cut_links:
             self._drop(msg, "link-cut")
             return
-        self.trace.record(self.env.now, "deliver", msg.dst, src=msg.src,
-                          msg_kind=msg.kind, msg_id=msg.msg_id)
+        trace = self.trace
+        if trace.active:
+            trace.record(self.env.now, "deliver", msg.dst, src=msg.src,
+                         msg_kind=msg.kind, msg_id=msg.msg_id)
+        else:
+            trace.tally("deliver")
         deliver(msg)
 
     def _drop(self, msg: Message, reason: str) -> None:

@@ -87,6 +87,11 @@ class TraceLog:
         for observer in tuple(self._observers):
             observer(rec)
 
+    def tally(self, kind: str) -> None:
+        """Count one record of *kind* without building it: the cheap
+        path for producers that found the log not :attr:`active`."""
+        self._counters[kind] += 1
+
     def count(self, kind: str) -> int:
         """Number of records of the given kind (counted even if disabled)."""
         return self._counters[kind]

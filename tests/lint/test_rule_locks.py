@@ -110,3 +110,33 @@ def test_rule_scope_excludes_sim():
     rule = LockDisciplineRule()
     assert rule.applies_to("core/replica.py")
     assert not rule.applies_to("sim/node.py")
+
+
+def test_timed_acquire_helper_without_custody_fires():
+    src = ("class R:\n"
+           "    def handle(self, op):\n"
+           "        ok = yield from self.lock.acquire_within(op, 1.5)\n"
+           "        return 'granted'\n")
+    assert ids(src) == ["lock-discipline"]
+
+
+def test_timed_acquire_helper_on_a_pooled_lock_fires():
+    src = ("class R:\n"
+           "    def handle(self, resource, op):\n"
+           "        ok = yield from self._lock(resource).acquire_within(\n"
+           "            op, 1.5, shared=True)\n"
+           "        if ok:\n"
+           "            return 'granted'\n"
+           "        return 'busy'\n")
+    assert ids(src) == ["lock-discipline"]
+
+
+def test_timed_acquire_failure_branch_walks_unheld():
+    src = ("class R:\n"
+           "    def handle(self, op):\n"
+           "        ok = yield from self.lock.acquire_within(op, 1.5)\n"
+           "        if not ok:\n"
+           "            return BUSY\n"
+           "        self._op_locks[op] = True\n"
+           "        return 'granted'\n")
+    assert ids(src) == []
